@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import shutil
 import sys
@@ -39,7 +40,6 @@ from repro.engine.cache import (
     reset_compile_caches,
     reset_global_memo,
 )
-from repro.engine.engine import resolve_workers
 from repro.evaluation import AmosBackend, evaluate_network
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.networks import NetworkOp
@@ -115,7 +115,9 @@ def run_tune_comparison(quick: bool) -> dict:
         base = FULL_CONFIG
         workload = "C2D c=16 k=16 h=14 w=14"
 
-    parallel_workers = max(2, resolve_workers(None))
+    # The pool is opt-in (the default is in-process), so ask for one
+    # worker per core, and at least two so the pool path always runs.
+    parallel_workers = max(2, os.cpu_count() or 1)
     serial_s, serial_us, serial_counters = _timed_tune(
         comp, _replace(base, n_workers=1)
     )

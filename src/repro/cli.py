@@ -31,9 +31,11 @@ Subcommands:
   wall-time attribution with critical-path aggregation, and flat
   CSV/JSON exports.
 
-Every tuning entry point accepts ``--run-dir`` (write a RunRecord
-manifest per compile), ``--divergence-rate`` (sample vectorized engine
-results back through the scalar oracle), ``--eval-timeout`` /
+Every tuning entry point accepts ``--workers`` (evaluation processes;
+the default 1 evaluates in-process, ``N >= 2`` opts into a pool),
+``--run-dir`` (write a RunRecord manifest per compile),
+``--divergence-rate`` (sample vectorized engine results back through
+the scalar oracle), ``--eval-timeout`` /
 ``--max-retries`` (fault-tolerance deadlines and retry budget for the
 evaluation pool) and ``--quick`` (small fixed CI budget).
 """
@@ -171,6 +173,25 @@ def _unit_fraction(lo_open: bool):
         if not (low_ok and value <= 1.0):
             bounds = "(0, 1]" if lo_open else "[0, 1]"
             raise argparse.ArgumentTypeError(f"{value} not in {bounds}")
+        return value
+
+    return parse
+
+
+def _at_least(kind: type, low: float, strict: bool = False):
+    """Argparse type for an ``int``/``float`` that is ``>= low`` (``> low``
+    when ``strict``): a bad execution flag is a usage error at parse
+    time, not a traceback (or a silently broken run) later."""
+    noun = "an integer" if kind is int else "a number"
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"{value} is not {relation} {low:g}")
         return value
 
     return parse
@@ -474,11 +495,12 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers",
-        type=int,
-        default=None,
+        type=_at_least(int, 1),
+        default=1,
         metavar="N",
-        help="evaluation worker processes (default: one per CPU core; "
-        "1 = pure in-process)",
+        help="evaluation worker processes (default: 1 = in-process; "
+        "N >= 2 opts into a process pool, which costs one pool spawn "
+        "per tune)",
     )
     p.add_argument(
         "--cache-dir",
@@ -496,15 +518,15 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--divergence-rate",
-        type=float,
+        type=_unit_fraction(lo_open=False),
         default=0.0,
         metavar="R",
         help="fraction of vectorized engine evaluations re-checked "
-        "against the scalar oracle (0 disables the watchdog)",
+        "against the scalar oracle, in [0, 1] (0 disables the watchdog)",
     )
     p.add_argument(
         "--eval-timeout",
-        type=float,
+        type=_at_least(float, 0.0, strict=True),
         default=None,
         metavar="S",
         help="per-batch evaluation deadline in seconds; a batch that "
@@ -513,7 +535,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-retries",
-        type=int,
+        type=_at_least(int, 0),
         default=2,
         metavar="N",
         help="retries per failing evaluation task before it is "

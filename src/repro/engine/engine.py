@@ -32,8 +32,8 @@ results knob.
 Determinism is the design invariant: all evaluators are pure functions
 of the candidate, batches are reassembled positionally, and the memo
 only short-circuits recomputation of identical values, so ``n_workers=1``
-(pure in-process), ``n_workers=N``, warm-cache and vectorized/scalar
-runs all produce byte-identical results.  Fault recovery preserves the
+(pure in-process, the default), ``n_workers=N``, warm-cache and
+vectorized/scalar runs all produce byte-identical results.  Fault recovery preserves the
 same invariant: pooled evaluation runs under a
 :class:`~repro.engine.faults.FaultPolicy` (batch deadlines, bounded
 retry with backoff, pool respawn, per-task quarantine, degradation to
@@ -42,9 +42,9 @@ recovery path re-runs the same pure function, a fault-ridden run
 returns byte-identical results to a fault-free one.
 
 Observability: every batch opens an ``engine.batch`` span and feeds the
-``engine.cache.{hit,miss}`` and ``engine.pool.{tasks,batches}`` counters
-(no-ops while obs is disabled), which is how the benchmarks prove cache
-hit rates and pool utilisation.  Worker-side spans and counters are
+``engine.cache.{hit,miss}`` and ``engine.pool.{spawns,tasks,batches}``
+counters (no-ops while obs is disabled), which is how the benchmarks
+prove cache hit rates and pool utilisation.  Worker-side spans and counters are
 shipped home and merged by the pool (see :mod:`repro.engine.pool`), so
 pooled evaluation appears in the same trace under per-worker lanes.  A
 sampled *divergence watchdog* (``divergence_rate > 0``) re-runs a
@@ -57,7 +57,6 @@ claim.
 from __future__ import annotations
 
 import math
-import os
 import zlib
 from typing import Sequence
 
@@ -102,12 +101,12 @@ __all__ = ["EvaluationEngine", "resolve_workers"]
 DEFAULT_MIN_POOL_BATCH = 16
 
 
-def resolve_workers(n_workers: int | None) -> int:
-    """``None`` means "use every core" (the TunerConfig default)."""
-    if n_workers is None:
-        return os.cpu_count() or 1
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+def resolve_workers(n_workers: int) -> int:
+    """Validate a worker count: an int >= 1.  ``1`` (the default) is pure
+    in-process evaluation; ``>= 2`` opts into a per-engine process pool,
+    which costs one pool spawn per tune."""
+    if not isinstance(n_workers, int) or n_workers < 1:
+        raise ValueError(f"n_workers must be an int >= 1, got {n_workers!r}")
     return n_workers
 
 
@@ -119,7 +118,7 @@ class EvaluationEngine:
         comp: ReduceComputation,
         physical: Sequence[PhysicalMapping],
         hardware: HardwareParams,
-        n_workers: int | None = None,
+        n_workers: int = 1,
         memo: MemoCache | None = None,
         min_pool_batch: int = DEFAULT_MIN_POOL_BATCH,
         vectorized: bool = True,

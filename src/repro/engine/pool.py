@@ -319,6 +319,9 @@ class WorkerPool:
         self._spawn()
 
     def _spawn(self) -> None:
+        # Counted for the first spawn and every respawn: each one costs
+        # a fresh set of interpreter starts and context unpickles.
+        _obs_metrics.counter("engine.pool.spawns").inc()
         self._pool = multiprocessing.get_context("spawn").Pool(
             processes=self.n_workers,
             initializer=_init_worker,

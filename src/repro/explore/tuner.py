@@ -12,10 +12,10 @@ Every model prediction and simulator measurement flows through one
 prefilter, the genetic search (via its batch ``fitness_many`` hook), the
 measurement pass and the refinement rounds all submit *batches* of
 candidates.  The engine memoizes by canonical candidate fingerprint and,
-when ``TunerConfig.n_workers`` allows, evaluates large batches on a
-spawn-safe process pool — with results reassembled in submission order,
-so the tuner's output is byte-identical for any worker count and any
-cache temperature.
+when ``TunerConfig.n_workers >= 2`` asks for it, evaluates large batches
+on a spawn-safe process pool — with results reassembled in submission
+order, so the tuner's output is byte-identical for any worker count and
+any cache temperature.
 """
 
 from __future__ import annotations
@@ -76,10 +76,12 @@ class TunerConfig:
 
     ``n_workers`` / ``min_pool_batch`` / ``vectorized`` / ``ga_arrays``
     / ``cache_dir`` are execution knobs: they control how fast the same
-    answer is produced, never which answer.  ``n_workers=None`` means
-    "one worker per CPU core" (``os.cpu_count()``); ``n_workers=1``
-    forces pure in-process evaluation.  ``vectorized`` selects the
-    engine's array fast path (feature tables + batch evaluators,
+    answer is produced, never which answer.  ``n_workers=1`` (the
+    default) evaluates in-process; ``n_workers >= 2`` opts into a
+    process pool of that many workers, which costs one pool spawn (a
+    fresh interpreter per worker) per tune and only pays off when the
+    tune's evaluation work dwarfs that start-up.  ``vectorized`` selects
+    the engine's array fast path (feature tables + batch evaluators,
     bit-identical to the scalar evaluators); ``vectorized=False`` falls
     back to per-candidate scalar evaluation.  ``ga_arrays`` selects the
     array-native exploration loop (the population as a
@@ -117,7 +119,7 @@ class TunerConfig:
     refine_neighbors: int = 16
     seed: int = 0
     generation_options: GenerationOptions = field(default_factory=GenerationOptions)
-    n_workers: int | None = None
+    n_workers: int = 1
     min_pool_batch: int = 16
     vectorized: bool = True
     ga_arrays: bool = True

@@ -234,6 +234,9 @@ def _engine_section(metrics: Sequence[dict[str, Any]]) -> list[str]:
     cc_misses = counters.get("engine.compile_cache.miss", 0.0)
     if cc_hits or cc_misses:
         lines.append(f"  compile cache hit rate:  {rate(cc_hits, cc_misses)}")
+    spawns = counters.get("engine.pool.spawns", 0.0)
+    if spawns:
+        lines.append(f"  pool spawns:             {int(spawns)}")
     tasks = counters.get("engine.pool.tasks", 0.0)
     batches = counters.get("engine.pool.batches", 0.0)
     if batches:

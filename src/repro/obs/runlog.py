@@ -201,6 +201,7 @@ _CACHE_COUNTERS = {
     "memo_evictions": "engine.cache.evictions",
     "compile_cache_hits": "engine.compile_cache.hit",
     "compile_cache_misses": "engine.compile_cache.miss",
+    "pool_spawns": "engine.pool.spawns",
     "pool_tasks": "engine.pool.tasks",
     "pool_batches": "engine.pool.batches",
 }

@@ -46,14 +46,22 @@ class TestTuningFlagBounds:
         )
         assert args.elite_fraction == 0.25
         assert args.mapping_mutation_prob == 0.15
+        assert args.workers == 1  # in-process unless a pool is asked for
+        assert args.eval_timeout is None
+        assert args.max_retries == 2
+        assert args.divergence_rate == 0.0
 
     def test_valid_values_accepted(self):
         args = build_parser().parse_args([
             "compile", "GMM", "--params", "m=64", "n=64", "k=64",
             "--elite-fraction", "0.5", "--mapping-mutation-prob", "0.0",
+            "--workers", "4", "--eval-timeout", "0.5",
+            "--max-retries", "0", "--divergence-rate", "1",
         ])
         assert args.elite_fraction == 0.5
         assert args.mapping_mutation_prob == 0.0
+        assert (args.workers, args.eval_timeout) == (4, 0.5)
+        assert (args.max_retries, args.divergence_rate) == (0, 1.0)
 
     def test_elite_fraction_zero_rejected(self, capsys):
         # (0, 1]: an elite fraction of zero would leave no parents at all.
@@ -73,6 +81,30 @@ class TestTuningFlagBounds:
             ])
         assert exc.value.code == 2
         assert "not in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "0", "0 is not >= 1"),
+            ("--workers", "-2", "-2 is not >= 1"),
+            ("--workers", "two", "not an integer"),
+            ("--eval-timeout", "-1", "-1.0 is not > 0"),
+            ("--eval-timeout", "0", "0.0 is not > 0"),
+            ("--max-retries", "-1", "-1 is not >= 0"),
+            ("--divergence-rate", "2", "2.0 not in [0, 1]"),
+            ("--divergence-rate", "-0.1", "-0.1 not in [0, 1]"),
+        ],
+    )
+    def test_bad_execution_flags_rejected(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "compile", "GMM", "--params", "m=64", "n=64", "k=64",
+                flag, value,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "usage:" in err
 
     def test_non_numeric_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

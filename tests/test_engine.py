@@ -8,7 +8,6 @@ cache state is ignored rather than served.
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -135,13 +134,47 @@ class TestCompileCache:
 
 
 class TestResolveWorkers:
-    def test_default_is_cpu_count(self):
-        assert resolve_workers(None) == (os.cpu_count() or 1)
+    def test_default_is_in_process(self):
+        assert TunerConfig().n_workers == 1
 
     def test_explicit_and_invalid(self):
+        assert resolve_workers(1) == 1
         assert resolve_workers(3) == 3
-        with pytest.raises(ValueError):
-            resolve_workers(0)
+        for bad in (0, -1, -8, None, 2.0):
+            with pytest.raises(ValueError, match="n_workers must be an int >= 1"):
+                resolve_workers(bad)
+
+
+class TestDefaultNeverPools:
+    """In-process evaluation is the default: only an explicit
+    ``n_workers >= 2`` may pay for a process pool."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a default-config run constructed a WorkerPool")
+
+        monkeypatch.setattr("repro.engine.engine.WorkerPool", refuse)
+
+    def test_default_tuner_config_tune(self):
+        comp = make_operator("GMM", m=64, n=64, k=64)
+        result = Tuner(get_hardware("v100"), TunerConfig()).tune(comp)
+        assert result.best_us > 0
+
+    def test_default_engine_large_batch(self):
+        import random
+
+        comp, physical = small_physical()
+        rng = random.Random(0)
+        items = [
+            (i, ScheduleSpace(pm).sample(rng))
+            for i, pm in enumerate(physical)
+            for _ in range(8)
+        ]
+        engine = EvaluationEngine(comp, physical, get_hardware("v100"), memo=MemoCache())
+        assert engine.n_workers == 1
+        assert len(items) >= engine.min_pool_batch  # big enough to have pooled
+        assert len(engine.measure_many(items)) == len(items)
 
 
 class TestEvaluationEngine:

@@ -312,6 +312,40 @@ class TestRunRecord:
         }
 
 
+class TestPoolSpawnCount:
+    """``engine.pool.spawns`` → ``RunRecord.cache["pool_spawns"]``: the
+    manifest says what each tune paid for process pools."""
+
+    def test_default_config_tune_spawns_no_pool(self, tmp_path):
+        Tuner(get_hardware("v100"), TunerConfig(run_dir=str(tmp_path))).tune(
+            small_gemm()
+        )
+        (record,) = load_runs(tmp_path)
+        assert record.cache["pool_spawns"] == 0
+        assert record.cache["pool_batches"] == 0
+
+    def test_requested_pool_spawn_is_recorded_and_reported(self, tmp_path):
+        Tuner(
+            get_hardware("v100"),
+            fast_config(n_workers=2, min_pool_batch=1, run_dir=str(tmp_path)),
+        ).tune(small_gemm())
+        (record,) = load_runs(tmp_path)
+        assert record.cache["pool_spawns"] >= 1
+        assert record.cache["pool_batches"] >= 1
+
+        reset_global_memo()  # a warm memo would leave nothing to pool
+        obs.enable()
+        Tuner(
+            get_hardware("v100"), fast_config(n_workers=2, min_pool_batch=1)
+        ).tune(small_gemm())
+        path = obs.export_jsonl(
+            tmp_path / "trace.jsonl", metrics=obs.get_registry().snapshot()
+        )
+        report = obs.render_report(obs.load_jsonl(path))
+        engine_section = report.split("-- engine caches & pool --")[1]
+        assert "pool spawns:" in engine_section.split("-- metrics --")[0]
+
+
 # ----------------------------------------------------------------------
 # Regression comparison
 # ----------------------------------------------------------------------
