@@ -10,17 +10,19 @@ The claim under test mirrors Sec 5.3: model-guided evolutionary search
 reaches better configurations than random sampling at equal budget.
 """
 
-import random
+import numpy as np
 
-from repro.explore.genetic import Candidate, GeneticConfig, genetic_search
+from repro.explore.genetic import Candidate, GeneticConfig, genetic_search_rows
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.workloads import RESNET18_CONV_LAYERS
 from repro.isa import intrinsics_for_target
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware, predict_latency
+from repro.model import get_hardware
+from repro.schedule.features import schedules_from_rows
 from repro.schedule.lowering import lower_schedule
+from repro.schedule.space import ScheduleSpace
 from repro.sim.timing import simulate_cycles
 
 from bench_utils import write_table
@@ -42,14 +44,22 @@ def run_ablation():
         sched = lower_schedule(physical[candidate.mapping_index], candidate.schedule)
         return simulate_cycles(sched, hw).total_us
 
-    def modeled(candidate: Candidate) -> float:
-        sched = lower_schedule(physical[candidate.mapping_index], candidate.schedule)
-        return predict_latency(sched, hw).total_us
+    spaces = [ScheduleSpace(pm) for pm in physical]
+
+    def measured_rows(mapping_indices, batch) -> np.ndarray:
+        costs = []
+        for i, mi in enumerate(mapping_indices):
+            (schedule,) = schedules_from_rows(spaces[mi].spatial_names, batch, [i])
+            costs.append(measured(Candidate(int(mi), schedule)))
+        return np.asarray(costs)
 
     # Equal-budget GA vs random, both scored by direct measurement.
     budget = 192
-    ga = genetic_search(
-        physical, measured, GeneticConfig(population=24, generations=8, seed=1)
+    ga = genetic_search_rows(
+        physical,
+        measured_rows,
+        GeneticConfig(population=24, generations=8, seed=1),
+        spaces=spaces,
     )
     rnd = random_search(physical, measured, trials=budget, seed=1)
 
@@ -64,7 +74,7 @@ def run_ablation():
     tuner_best = {}
     for name, config in variants.items():
         tuner_best[name] = Tuner(hw, config).tune(comp, list(physical)).best_us
-    return ga[0][1], rnd[0][1], tuner_best
+    return float(ga.costs[0]), rnd[0][1], tuner_best
 
 
 def test_report_ablation_explorer(benchmark):

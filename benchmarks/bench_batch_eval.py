@@ -1,67 +1,59 @@
-"""Benchmark: the vectorized batch-evaluation path (feature tables +
-``batch_predict`` / ``batch_simulate``) and the array-native GA loop.
+"""Benchmark: the batch-evaluation path (feature tables +
+``batch_predict`` / ``batch_simulate``) and the array-native GA loop,
+against the paper's scalar model.
 
 Measurements, written to ``benchmarks/results/BENCH_batch_eval.json``:
 
 1. **batch fitness throughput** — one GA-generation-shaped batch of
-   schedule candidates pushed through ``EvaluationEngine`` with
-   ``vectorized=True`` vs ``vectorized=False`` (cold memo each
-   repetition, ``n_workers=1`` so the evaluators themselves are
-   compared, not the pool).  The array path must deliver at least **5x
-   candidates/sec** on the model-only fitness batch, and the results of
-   the two paths must be bit-identical.
-2. **end-to-end GA-loop throughput** — a whole ``genetic_search_rows``
-   run (breed + dedup + memo keys + predict, cold memo each repetition)
-   against the per-candidate object loop on the same budget.  The array
-   loop must deliver at least **5x candidates/sec** and the identical
-   ranked output (the bit-identity oracle contract).  The batched
-   object loop (``fitness_many``, still object-keyed) is reported too,
-   as the intermediate point.
-3. **tune wall time before/after** — the same full ``Tuner.tune`` run
-   with the scalar and the vectorized engine.  Identical results (the
-   flag is an execution knob), wall-clock reported for both.
-4. **describe memo note** — ``Schedule.describe()`` is memoized on
+   schedule candidates pushed through ``EvaluationEngine.predict_many``
+   / ``measure_many`` (cold memo each repetition, ``n_workers=1``)
+   vs a direct loop of ``lower_schedule`` + ``predict_latency`` (+
+   ``simulate_cycles``) over the same candidates.  The batch path must
+   deliver at least **5x candidates/sec** on the model-only fitness
+   batch, and its results must equal the scalar loop's bit for bit.
+2. **GA-loop throughput** — a whole ``genetic_search_rows`` run (breed
+   + dedup + memo keys + predict, cold memo each repetition) scored by
+   the engine's ``predict_rows`` vs the same run scored one row at a
+   time by the scalar model.  The two rankings must be identical.
+3. **describe memo note** — ``Schedule.describe()`` is memoized on
    first render; the micro-benchmark records the cold render vs the
-   memoized re-read, the win every memo key / dedup key / jitter
-   encoding touch of the same immutable schedule collects.
+   memoized re-read, the win every trial record / dedup key touch of
+   the same immutable schedule collects.
 
-Runnable standalone (``python benchmarks/bench_batch_eval.py
-[--quick]``) and re-exported by ``tests/test_batch_eval_bench.py`` so
-the quick-mode assertions run under the tier-1 command.
+Runnable standalone (``python benchmarks/bench_batch_eval.py``; it has
+one size) and re-exported by ``tests/test_batch_eval_bench.py`` so the
+assertions run under the tier-1 command.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import random
 import sys
 import time
 
+import numpy as np
+
 from repro.engine import EvaluationEngine, MemoCache
-from repro.engine.cache import reset_global_memo
-from repro.explore.genetic import (
-    Candidate,
-    GeneticConfig,
-    genetic_search,
-    genetic_search_rows,
-)
-from repro.explore.tuner import Tuner, TunerConfig
+from repro.explore.genetic import Candidate, GeneticConfig, genetic_search_rows
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware
+from repro.model import get_hardware, predict_latency
+from repro.schedule.features import schedules_from_rows
+from repro.schedule.lowering import lower_schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
+from repro.sim.timing import simulate_cycles
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 RESULT_FILE = "BENCH_batch_eval.json"
 
-#: Candidates per fitness batch — a large GA generation.  Kept the same
-#: in quick and full mode: the batch evaluators run in milliseconds, so
-#: the asserted >=5x contract is always measured at a realistic size.
+#: Candidates per fitness batch — a large GA generation: the batch
+#: evaluators run in milliseconds, so the asserted >=5x contract is
+#: measured at a realistic size even under the tier-1 command.
 FITNESS_BATCH = 256
 FITNESS_REPEATS = 5
 MIN_FITNESS_SPEEDUP = 5.0
@@ -71,17 +63,6 @@ MIN_FITNESS_SPEEDUP = 5.0
 #: per-call overhead, dominates, as the paper's Table 6 spaces imply.
 GA_LOOP_CONFIG = GeneticConfig(population=256, generations=8, seed=0)
 GA_LOOP_REPEATS = 3
-MIN_GA_LOOP_SPEEDUP = 5.0
-
-QUICK_CONFIG = TunerConfig(
-    population=8,
-    generations=2,
-    measure_top=8,
-    refine_rounds=1,
-    refine_neighbors=4,
-    n_workers=1,
-)
-FULL_CONFIG = TunerConfig(n_workers=1)
 
 
 def _context():
@@ -111,43 +92,50 @@ def _fitness_items(physical, hw, count):
     return items[:count]
 
 
-def _throughput(comp, hw, physical, items, vectorized, measure):
-    """Best-of-N cold-memo throughput (candidates/sec) plus the results
-    themselves, for the bit-identity check."""
-    best_s = float("inf")
-    results = None
-    for _ in range(FITNESS_REPEATS):
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=vectorized
-        ) as engine:
-            start = time.perf_counter()
-            if measure:
-                results = engine.measure_many(items)
-            else:
-                results = engine.predict_many(items)
-            best_s = min(best_s, time.perf_counter() - start)
-    return len(items) / best_s, best_s, results
+def _scalar(physical, hw, schedule_of, mapping_index, measure):
+    """The paper's scalar model (and simulator) on one lowered schedule."""
+    sched = lower_schedule(physical[mapping_index], schedule_of)
+    predicted = predict_latency(sched, hw).total_us
+    if not measure:
+        return predicted
+    return predicted, simulate_cycles(sched, hw).total_us
+
+
+def _best_of(repeats, run):
+    best_s, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best_s = min(best_s, time.perf_counter() - start)
+    return best_s, result
 
 
 def run_fitness_throughput() -> dict:
     comp, hw, physical = _context()
     items = _fitness_items(physical, hw, FITNESS_BATCH)
 
+    def batch_run(measure):
+        # Cold memo every repetition: the engine is built inside the
+        # timed call, as each tune builds its own.
+        engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
+        return engine.measure_many(items) if measure else engine.predict_many(items)
+
+    def scalar_run(measure):
+        return [_scalar(physical, hw, s, mi, measure) for mi, s in items]
+
     report = {"batch_size": len(items), "num_mappings": len(physical)}
     for measure, label in ((False, "fitness"), (True, "measured")):
-        vec_cps, vec_s, vec_results = _throughput(
-            comp, hw, physical, items, vectorized=True, measure=measure
-        )
-        sca_cps, sca_s, sca_results = _throughput(
-            comp, hw, physical, items, vectorized=False, measure=measure
+        batch_s, batch_results = _best_of(FITNESS_REPEATS, lambda: batch_run(measure))
+        scalar_s, scalar_results = _best_of(
+            FITNESS_REPEATS, lambda: scalar_run(measure)
         )
         report[label] = {
-            "vectorized_cand_per_s": vec_cps,
-            "scalar_cand_per_s": sca_cps,
-            "vectorized_wall_s": vec_s,
-            "scalar_wall_s": sca_s,
-            "speedup": vec_cps / sca_cps if sca_cps else 0.0,
-            "identical": vec_results == sca_results,
+            "batch_cand_per_s": len(items) / batch_s,
+            "scalar_cand_per_s": len(items) / scalar_s,
+            "batch_wall_s": batch_s,
+            "scalar_wall_s": scalar_s,
+            "speedup": scalar_s / batch_s if batch_s else 0.0,
+            "identical": batch_results == scalar_results,
         }
     return report
 
@@ -171,73 +159,45 @@ def _ranked_fingerprint(pairs):
 
 
 def run_ga_loop_throughput() -> dict:
-    """One whole GA run — breed + dedup + memo keys + predict — as rows
-    vs as per-candidate objects, cold memo each repetition."""
+    """One whole GA run — breed + dedup + memo keys + predict — scored by
+    the batch engine vs one row at a time by the scalar model."""
     comp, hw, physical = _context()
     spaces, seeds = _ga_context(comp, hw, physical)
     cfg = GA_LOOP_CONFIG
 
-    def timed(run):
-        best_s, result = float("inf"), None
-        for _ in range(GA_LOOP_REPEATS):
-            with EvaluationEngine(
-                comp, physical, hw, n_workers=1, memo=MemoCache()
-            ) as engine:
-                start = time.perf_counter()
-                result = run(engine)
-                best_s = min(best_s, time.perf_counter() - start)
-        return best_s, result
+    def scalar_rows(mapping_indices, batch):
+        costs = []
+        for i, mi in enumerate(mapping_indices):
+            names = spaces[int(mi)].spatial_names
+            (schedule,) = schedules_from_rows(names, batch, [i])
+            costs.append(_scalar(physical, hw, schedule, int(mi), measure=False))
+        return np.asarray(costs)
 
-    rows_s, rows_result = timed(
-        lambda engine: genetic_search_rows(
+    def batch_run():
+        engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
+        return genetic_search_rows(
             physical, engine.predict_rows, cfg, seeds=seeds, spaces=spaces
         )
-    )
-    ranked_rows = rows_result.candidates(spaces)
-    # The PR-3-shaped baseline: every candidate bred, keyed and scored
-    # one Python object at a time.
-    percand_s, ranked_percand = timed(
-        lambda engine: genetic_search(
-            physical,
-            fitness=lambda c: engine.predict_many(
-                [(c.mapping_index, c.schedule)]
-            )[0],
-            config=cfg,
-            seeds=seeds,
-            spaces=spaces,
-        )
-    )
-    # Intermediate point: object loop, but generation-batched evaluation.
-    batched_s, ranked_batched = timed(
-        lambda engine: genetic_search(
-            physical,
-            config=cfg,
-            seeds=seeds,
-            spaces=spaces,
-            fitness_many=lambda cs: engine.predict_many(
-                [(c.mapping_index, c.schedule) for c in cs]
-            ),
-        )
-    )
 
-    evaluated = len(ranked_rows)
+    batch_s, batch_result = _best_of(GA_LOOP_REPEATS, batch_run)
+    scalar_s, scalar_result = _best_of(
+        GA_LOOP_REPEATS,
+        lambda: genetic_search_rows(
+            physical, scalar_rows, cfg, seeds=seeds, spaces=spaces
+        ),
+    )
+    evaluated = len(batch_result)
     return {
         "population": cfg.population,
         "generations": cfg.generations,
         "candidates_evaluated": evaluated,
-        "rows_cand_per_s": evaluated / rows_s,
-        "object_per_candidate_cand_per_s": evaluated / percand_s,
-        "object_batched_cand_per_s": evaluated / batched_s,
-        "rows_wall_s": rows_s,
-        "object_per_candidate_wall_s": percand_s,
-        "object_batched_wall_s": batched_s,
-        "speedup_vs_per_candidate": percand_s / rows_s if rows_s else 0.0,
-        "speedup_vs_batched_objects": batched_s / rows_s if rows_s else 0.0,
-        "identical": (
-            _ranked_fingerprint(ranked_rows)
-            == _ranked_fingerprint(ranked_percand)
-            == _ranked_fingerprint(ranked_batched)
-        ),
+        "batch_cand_per_s": evaluated / batch_s,
+        "scalar_cand_per_s": evaluated / scalar_s,
+        "batch_wall_s": batch_s,
+        "scalar_wall_s": scalar_s,
+        "speedup": scalar_s / batch_s if batch_s else 0.0,
+        "identical": _ranked_fingerprint(batch_result.candidates(spaces))
+        == _ranked_fingerprint(scalar_result.candidates(spaces)),
     }
 
 
@@ -266,58 +226,11 @@ def run_describe_memo_note() -> dict:
     }
 
 
-def _timed_tune(comp, config: TunerConfig) -> tuple[float, object]:
-    reset_global_memo()
-    tuner = Tuner(get_hardware("v100"), config)
-    start = time.perf_counter()
-    result = tuner.tune(comp)
-    return time.perf_counter() - start, result
-
-
-def run_tune_comparison(quick: bool) -> dict:
-    """The full tune loop, scalar engine vs vectorized engine."""
-    if quick:
-        comp = make_operator("GMM", m=64, n=64, k=64)
-        base = QUICK_CONFIG
-        workload = "GMM m=64 n=64 k=64"
-    else:
-        comp = make_operator("C2D", n=1, c=16, k=16, h=14, w=14, r=3, s=3, stride=1)
-        base = FULL_CONFIG
-        workload = "C2D c=16 k=16 h=14 w=14"
-
-    scalar_s, scalar = _timed_tune(
-        comp, dataclasses.replace(base, vectorized=False)
-    )
-    vector_s, vector = _timed_tune(
-        comp, dataclasses.replace(base, vectorized=True)
-    )
-    reset_global_memo()
-
-    def fingerprint(result):
-        return [
-            (t.mapping_index, t.predicted_us, t.measured_us)
-            for t in result.trials
-        ]
-
-    return {
-        "workload": workload,
-        "scalar": {"wall_s": scalar_s, "best_us": scalar.best_us},
-        "vectorized": {"wall_s": vector_s, "best_us": vector.best_us},
-        "identical": (
-            scalar.best_us == vector.best_us
-            and fingerprint(scalar) == fingerprint(vector)
-        ),
-        "speedup": scalar_s / vector_s if vector_s else 0.0,
-    }
-
-
-def run_bench(quick: bool) -> dict:
+def run_bench() -> dict:
     report = {
-        "quick": quick,
         "fitness_throughput": run_fitness_throughput(),
         "ga_loop": run_ga_loop_throughput(),
         "describe_memo": run_describe_memo_note(),
-        "tune": run_tune_comparison(quick),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / RESULT_FILE
@@ -326,25 +239,23 @@ def run_bench(quick: bool) -> dict:
 
 
 def check_bench(report: dict) -> None:
-    """The batch path's contract: bit-identical and much faster."""
+    """The batch path's contract: bit-identical to the scalar model and
+    much faster."""
     fitness = report["fitness_throughput"]
     for label in ("fitness", "measured"):
         section = fitness[label]
         assert section["identical"], (
-            f"vectorized {label} results diverged from scalar: {section}"
+            f"batch {label} results diverged from the scalar model: {section}"
         )
     assert fitness["fitness"]["speedup"] >= MIN_FITNESS_SPEEDUP, (
-        f"batch fitness must be >= {MIN_FITNESS_SPEEDUP}x the scalar path, "
+        f"batch fitness must be >= {MIN_FITNESS_SPEEDUP}x the scalar model, "
         f"got {fitness['fitness']['speedup']:.2f}x"
     )
 
     ga_loop = report["ga_loop"]
     assert ga_loop["identical"], (
-        f"array-native GA ranking diverged from the object oracle: {ga_loop}"
-    )
-    assert ga_loop["speedup_vs_per_candidate"] >= MIN_GA_LOOP_SPEEDUP, (
-        f"GA loop must be >= {MIN_GA_LOOP_SPEEDUP}x the per-candidate loop, "
-        f"got {ga_loop['speedup_vs_per_candidate']:.2f}x"
+        f"GA ranking under the batch engine diverged from the scalar model: "
+        f"{ga_loop}"
     )
 
     memo = report["describe_memo"]
@@ -352,51 +263,29 @@ def check_bench(report: dict) -> None:
         f"memoized describe() should beat a fresh render handily: {memo}"
     )
 
-    tune = report["tune"]
-    assert tune["identical"], (
-        f"the vectorized flag changed the tune result: {tune}"
-    )
-    # Wall-clock of the whole tune also includes enumeration, GA state
-    # and trial construction, so the end-to-end win is reported but only
-    # a no-regression floor is asserted.
-    assert tune["speedup"] >= 1.0 - 0.25, (
-        f"vectorized tune slower than scalar beyond tolerance: {tune}"
-    )
-
 
 def test_batch_eval_bench_quick():
-    report = run_bench(quick=True)
+    report = run_bench()
     check_bench(report)
-    fitness, tune = report["fitness_throughput"], report["tune"]
+    fitness = report["fitness_throughput"]
     ga_loop, memo = report["ga_loop"], report["describe_memo"]
     print(
         f"\nfitness batch ({fitness['batch_size']} candidates): "
-        f"vectorized {fitness['fitness']['vectorized_cand_per_s']:,.0f} cand/s, "
+        f"batch {fitness['fitness']['batch_cand_per_s']:,.0f} cand/s, "
         f"scalar {fitness['fitness']['scalar_cand_per_s']:,.0f} cand/s "
         f"({fitness['fitness']['speedup']:.1f}x); "
         f"measured pass {fitness['measured']['speedup']:.1f}x"
         f"\nGA loop ({ga_loop['candidates_evaluated']} evaluated): "
-        f"rows {ga_loop['rows_cand_per_s']:,.0f} cand/s, per-candidate "
-        f"{ga_loop['object_per_candidate_cand_per_s']:,.0f} cand/s "
-        f"({ga_loop['speedup_vs_per_candidate']:.1f}x; "
-        f"{ga_loop['speedup_vs_batched_objects']:.1f}x vs batched objects)"
+        f"batch {ga_loop['batch_cand_per_s']:,.0f} cand/s, scalar "
+        f"{ga_loop['scalar_cand_per_s']:,.0f} cand/s ({ga_loop['speedup']:.1f}x)"
         f"\ndescribe memo: {memo['cold_render_us_each']:.2f}us cold vs "
         f"{memo['memoized_us_each']:.3f}us memoized ({memo['speedup']:.0f}x)"
-        f"\ntune {tune['workload']}: scalar {tune['scalar']['wall_s']:.3f}s, "
-        f"vectorized {tune['vectorized']['wall_s']:.3f}s "
-        f"({tune['speedup']:.2f}x, identical={tune['identical']})"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small tune budget + assertions (the tier-1 configuration)",
-    )
-    args = parser.parse_args(argv)
-    report = run_bench(quick=args.quick)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    report = run_bench()
     check_bench(report)
     print(json.dumps(report, indent=2))
     print(f"\nwritten to {RESULTS_DIR / RESULT_FILE}")

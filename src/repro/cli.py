@@ -34,8 +34,8 @@ Subcommands:
 Every tuning entry point accepts ``--workers`` (evaluation processes;
 the default 1 evaluates in-process, ``N >= 2`` opts into a pool),
 ``--run-dir`` (write a RunRecord manifest per compile),
-``--divergence-rate`` (sample vectorized engine results back through
-the scalar oracle), ``--eval-timeout`` /
+``--divergence-rate`` (sample batch-engine results back through the
+scalar oracle), ``--eval-timeout`` /
 ``--max-retries`` (fault-tolerance deadlines and retry budget for the
 evaluation pool) and ``--quick`` (small fixed CI budget).
 """
@@ -58,7 +58,11 @@ from repro.compiler import amos_compile
 from repro.evaluation import AmosBackend, evaluate_network
 from repro.explore.tuner import TunerConfig
 from repro.frontends.networks import get_network, NETWORKS
-from repro.frontends.operators import OPERATOR_BUILDERS, make_operator
+from repro.frontends.operators import (
+    OPERATOR_BUILDERS,
+    OperatorParamError,
+    make_operator,
+)
 from repro.isa import get_intrinsic, intrinsics_for_target, list_intrinsics
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
@@ -86,6 +90,15 @@ def _parse_params(
     return params
 
 
+def _operator(args):
+    """The subcommand's operator; parameters its builder rejects are
+    usage errors, reported with the subcommand usage (exit 2)."""
+    try:
+        return make_operator(args.operator, **_parse_params(args.parser, args.params))
+    except OperatorParamError as exc:
+        args.parser.error(str(exc))
+
+
 def _cmd_list_intrinsics(args) -> int:
     if args.target:
         intrinsics = intrinsics_for_target(args.target)
@@ -109,7 +122,7 @@ def _cmd_list_hardware(args) -> int:
 
 
 def _cmd_mappings(args) -> int:
-    comp = make_operator(args.operator, **_parse_params(args.parser, args.params))
+    comp = _operator(args)
     if args.intrinsic:
         intrinsics = [get_intrinsic(args.intrinsic)]
     else:
@@ -235,7 +248,7 @@ def _live_session(args):
 
 
 def _cmd_compile(args) -> int:
-    comp = make_operator(args.operator, **_parse_params(args.parser, args.params))
+    comp = _operator(args)
     config = _tuner_config(args)
     with _live_session(args):
         kernel = amos_compile(comp, args.hardware, config, emit_source=args.source)
@@ -279,7 +292,7 @@ def _cmd_network(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Compile one operator with observability on; emit trace + report."""
-    comp = make_operator(args.operator, **_parse_params(args.parser, args.params))
+    comp = _operator(args)
     hw = get_hardware(args.hardware)
     config = _tuner_config(args)
 
@@ -521,7 +534,7 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
         type=_unit_fraction(lo_open=False),
         default=0.0,
         metavar="R",
-        help="fraction of vectorized engine evaluations re-checked "
+        help="fraction of batch engine evaluations re-checked "
         "against the scalar oracle, in [0, 1] (0 disables the watchdog)",
     )
     p.add_argument(

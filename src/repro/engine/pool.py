@@ -1,25 +1,20 @@
 """Spawn-safe, fault-tolerant process pool for batch candidate evaluation.
 
-The pool exists because ``predict_latency`` and ``simulate_cycles`` are
-pure CPU-bound Python: a tune run evaluates hundreds of candidates per
-generation and the GIL serialises them on one core.  Workers are started
+The pool exists because candidate evaluation is CPU-bound and the GIL
+serialises it on one core; it only pays off when a tune's evaluation
+work dwarfs the cost of spawning the workers.  Workers are started
 with the ``spawn`` method (safe on every platform, no inherited state)
 and receive the evaluation *context* — the list of physical mappings and
 the hardware parameters — exactly once, pickled into the initializer.
-Work items come in two shapes.  The scalar path ships tiny picklable
-descriptors ``(mapping_index, schedule_dict, measure)``; workers rebuild
-the ``Schedule`` from its descriptor and look the mapping up by index,
-so per-task payloads stay a few hundred bytes regardless of mapping
-complexity.  The vectorized path ships *group chunks* ``(mapping_index,
-ScheduleBatch, measure)`` — one mapping's schedules encoded as numpy
-arrays — and workers evaluate the whole chunk through
-``batch_predict`` / ``batch_simulate``, rebuilding (and caching) the
+Work items are *group chunks* ``(mapping_index, ScheduleBatch,
+measure)``: one mapping's schedules as contiguous ndarray row slices.
+Workers evaluate a whole chunk through :func:`evaluate_chunk`
+(``derive_batch`` → ``batch_predict`` → ``batch_simulate``, the same
+function the engine runs in-process), rebuilding (and caching) the
 mapping's :class:`MappingFeatures` table on first use.  No per-candidate
-objects ever cross the process boundary on that path.  Row-native chunks
-(from the engine's ``predict_rows`` / ``measure_rows``) are the same
-shape with ``describes=None``: plain contiguous ndarray buffers, no
-strings at all — workers render the describe half of each jitter key
-lazily inside ``batch_simulate`` for exactly the rows that need it.
+objects and no strings cross the process boundary — workers render the
+describe half of each jitter key lazily inside ``batch_simulate`` for
+exactly the rows that need it.
 
 **Failure is routine.**  Every task crosses the boundary as ``(ordinal,
 attempt, item)`` and comes back as a structured outcome — ``("ok",
@@ -67,7 +62,6 @@ unchanged — the disabled path costs one global check.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -84,17 +78,13 @@ from repro.engine.faults import (
 from repro.mapping.physical import PhysicalMapping
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import HardwareParams
-from repro.model.perf_model import predict_latency
 from repro.obs import events as _obs_events
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.schedule.features import MappingFeatures, ScheduleBatch, derive_batch
-from repro.schedule.lowering import lower_schedule
-from repro.schedule.schedule import Schedule
 from repro.sim.batch_timing import batch_simulate
-from repro.sim.timing import simulate_cycles
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "evaluate_chunk"]
 
 #: Worker-global evaluation context set by the initializer:
 #: (physical mappings, hardware params).
@@ -201,22 +191,25 @@ def _run_task(fn: Callable[[Any], Any], task: Task) -> TaskOutcome:
     return status, value, payload
 
 
-def _eval_item_with(
-    physical: Sequence[PhysicalMapping],
+def evaluate_chunk(
+    features: MappingFeatures,
     hw: HardwareParams,
-    item: tuple[int, dict, bool],
-) -> tuple[float, float | None]:
-    """Evaluate one candidate: (predicted_us, measured_us?).  Pure
-    function of (context, item) — runs identically in a worker or, for
-    quarantine/degraded evaluation, inline in the parent."""
-    mapping_index, schedule_dict, measure = item
-    with _obs_trace.span("worker.eval", mapping=mapping_index, measure=measure):
-        sched = lower_schedule(
-            physical[mapping_index], Schedule.from_dict(schedule_dict)
-        )
-        predicted = predict_latency(sched, hw).total_us
-        measured = simulate_cycles(sched, hw).total_us if measure else None
-    return predicted, measured
+    batch: ScheduleBatch,
+    measure: bool,
+) -> list[tuple[float, float | None]]:
+    """Evaluate one mapping's schedule rows: ``(predicted_us,
+    measured_us?)`` per row.  A pure function of its inputs — the one
+    chunk evaluator, run in-process by the engine, in the workers, and
+    inline in the parent for quarantined or degraded tasks."""
+    quantities = derive_batch(features, batch)
+    prediction = batch_predict(features, batch, hw, quantities=quantities)
+    if not measure:
+        return [(float(p), None) for p in prediction.total_us]
+    timing = batch_simulate(features, batch, hw, quantities=quantities)
+    return [
+        (float(p), float(m))
+        for p, m in zip(prediction.total_us, timing.total_us)
+    ]
 
 
 def _eval_group_with(
@@ -225,7 +218,7 @@ def _eval_group_with(
     features_cache: dict[int, MappingFeatures],
     item: tuple[int, ScheduleBatch, bool],
 ) -> list[tuple[float, float | None]]:
-    """Evaluate one mapping's schedule-batch chunk through the array path."""
+    """Evaluate one group chunk, deriving its feature table on first use."""
     mapping_index, batch, measure = item
     with _obs_trace.span(
         "worker.eval_group",
@@ -237,20 +230,7 @@ def _eval_group_with(
         if features is None:
             features = MappingFeatures.from_physical(physical[mapping_index])
             features_cache[mapping_index] = features
-        quantities = derive_batch(features, batch)
-        prediction = batch_predict(features, batch, hw, quantities=quantities)
-        if not measure:
-            return [(float(p), None) for p in prediction.total_us]
-        timing = batch_simulate(features, batch, hw, quantities=quantities)
-        return [
-            (float(p), float(m))
-            for p, m in zip(prediction.total_us, timing.total_us)
-        ]
-
-
-def _eval_item(task: Task) -> TaskOutcome:
-    physical, hw = _context()
-    return _run_task(lambda item: _eval_item_with(physical, hw, item), task)
+        return evaluate_chunk(features, hw, batch, measure)
 
 
 def _eval_group(task: Task) -> TaskOutcome:
@@ -360,45 +340,21 @@ class WorkerPool:
                 bus.adopt(events, shift_s=shift_s, lane=lane)
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(
-        self, items: Sequence[tuple[int, dict, bool]]
-    ) -> list[tuple[float, float | None]]:
-        """Evaluate a batch; results in submission order."""
-        if not items:
-            return []
-        chunksize = max(1, math.ceil(len(items) / (self.n_workers * 4)))
-        return self._run_batch(_eval_item, items, chunksize, self._inline_item)
-
     def evaluate_groups(
         self, groups: Sequence[tuple[int, ScheduleBatch, bool]]
     ) -> list[list[tuple[float, float | None]]]:
-        """Evaluate schedule-batch chunks; one result list per chunk, in
-        submission order.  Each chunk is already a unit of parallel work
-        (the engine sizes them to the pool), so ``chunksize=1``."""
+        """Evaluate schedule-batch chunks to completion, surviving task
+        errors, worker deaths and hangs; one result list per chunk, in
+        submission order.
+
+        Every chunk ends with a result — from a worker, from a
+        quarantined inline re-run, or from degraded inline evaluation.
+        Each chunk is already a unit of parallel work (the engine sizes
+        them to the pool), so ``chunksize=1``.
+        """
         if not groups:
             return []
-        return self._run_batch(_eval_group, groups, 1, self._inline_group)
-
-    def _inline_item(self, item: tuple[int, dict, bool]):
-        return _eval_item_with(self._physical, self._hardware, item)
-
-    def _inline_group(self, item: tuple[int, ScheduleBatch, bool]):
-        return _eval_group_with(
-            self._physical, self._hardware, self._features, item
-        )
-
-    # -- the fault-tolerant batch runner --------------------------------
-    def _run_batch(
-        self,
-        fn: Callable[[Task], TaskOutcome],
-        items: Sequence[Any],
-        chunksize: int,
-        inline_fn: Callable[[Any], Any],
-    ) -> list[Any]:
-        """Run one batch to completion, surviving task errors, worker
-        deaths and hangs.  Every item ends with a result — from a
-        worker, from a quarantined inline re-run, or from degraded
-        inline evaluation — reassembled in submission order."""
+        items = list(groups)
         n = len(items)
         seqs = list(range(self._task_seq, self._task_seq + n))
         self._task_seq += n
@@ -410,14 +366,14 @@ class WorkerPool:
         while pending:
             if self.degraded:
                 for i in pending:
-                    results[i] = inline_fn(items[i])
+                    results[i] = self._inline_group(items[i])
                 break
             # Quarantine anything past its retry budget: re-run inline
             # through the same pure evaluator, in submission order.
             retriable: list[int] = []
             for i in pending:
                 if attempts[i] > self.policy.max_retries:
-                    results[i] = self._quarantine(inline_fn, items[i], seqs[i])
+                    results[i] = self._quarantine(items[i], seqs[i])
                 else:
                     retriable.append(i)
             pending = retriable
@@ -425,7 +381,7 @@ class WorkerPool:
                 break
             batch = [(seqs[i], attempts[i], items[i]) for i in pending]
             try:
-                outcomes = self._map_with_deadline(fn, batch, chunksize)
+                outcomes = self._map_with_deadline(_eval_group, batch, 1)
             except PoolFailure as failure:
                 self._handle_pool_failure(failure, pending, attempts)
                 continue
@@ -451,6 +407,11 @@ class WorkerPool:
                     self._backoff(retry_round)
                     retry_round += 1
         return results
+
+    def _inline_group(self, item: tuple[int, ScheduleBatch, bool]):
+        return _eval_group_with(
+            self._physical, self._hardware, self._features, item
+        )
 
     def _map_with_deadline(
         self, fn: Callable[[Task], TaskOutcome], batch: list[Task], chunksize: int
@@ -515,13 +476,13 @@ class WorkerPool:
             self._count("respawns")
             self._count("retries", len(pending))
 
-    def _quarantine(self, inline_fn: Callable[[Any], Any], item: Any, seq: int):
+    def _quarantine(self, item: Any, seq: int):
         """A repeatedly failing task is re-run inline in the parent
         through the same pure evaluator — the in-process oracle — so one
         poisonous item cannot starve the batch."""
         self._count("quarantined")
         with _obs_trace.span("engine.fault.quarantine", task=seq):
-            return inline_fn(item)
+            return self._inline_group(item)
 
     def _backoff(self, retry_round: int) -> None:
         delay = self.policy.backoff_s * (self.policy.backoff_factor**retry_round)

@@ -10,44 +10,30 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from repro.explore.genetic import BatchFitness, Candidate
+from repro.explore.genetic import Candidate
 from repro.mapping.physical import PhysicalMapping
 from repro.schedule.space import ScheduleSpace
 
 
 def random_search(
     mappings: Sequence[PhysicalMapping],
-    fitness: Callable[[Candidate], float] | None = None,
+    fitness: Callable[[Candidate], float],
     trials: int = 128,
     seed: int = 0,
-    fitness_many: BatchFitness | None = None,
 ) -> list[tuple[Candidate, float]]:
     """Uniformly sample the joint space; returns (candidate, cost) sorted
     ascending by cost.
 
-    Sampling and scoring are decoupled: every candidate is drawn first
-    (the RNG stream is identical on both scoring paths), then scored in
-    one ``fitness_many`` call when given — the same engine batch hook
-    the GA uses, so the baseline benefits from memoization and the
-    process pool too — else one ``fitness`` call per candidate.
+    Every candidate is drawn first, then scored with one ``fitness`` call
+    each, so the RNG stream never depends on the evaluator.
     """
     if not mappings:
         raise ValueError("no mappings to search over")
-    if fitness is None and fitness_many is None:
-        raise ValueError("random_search needs a fitness or fitness_many evaluator")
     rng = random.Random(seed)
     spaces = [ScheduleSpace(pm) for pm in mappings]
     candidates: list[Candidate] = []
     for _ in range(trials):
         mi = rng.randrange(len(mappings))
         candidates.append(Candidate(mi, spaces[mi].sample(rng)))
-    if fitness_many is not None:
-        costs = fitness_many(candidates)
-        if len(costs) != len(candidates):
-            raise ValueError(
-                f"fitness_many returned {len(costs)} costs for "
-                f"{len(candidates)} candidates"
-            )
-    else:
-        costs = [fitness(c) for c in candidates]
+    costs = [fitness(c) for c in candidates]
     return sorted(zip(candidates, costs), key=lambda pair: pair[1])

@@ -2,6 +2,7 @@
 
 from repro.frontends.operators import (
     OPERATOR_BUILDERS,
+    OperatorParamError,
     make_operator,
     operator_feeds,
     operator_traffic_bytes,
@@ -18,6 +19,7 @@ __all__ = [
     "NETWORKS",
     "NetworkOp",
     "OPERATOR_BUILDERS",
+    "OperatorParamError",
     "RESNET18_CONV_LAYERS",
     "get_network",
     "make_operator",

@@ -18,6 +18,7 @@ recipes:
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Mapping
 
 import numpy as np
@@ -401,14 +402,37 @@ OPERATOR_BUILDERS: dict[str, Callable[..., ReduceComputation]] = {
 }
 
 
+class OperatorParamError(ValueError):
+    """Parameters an operator builder cannot accept: an unknown name, a
+    size below 1, or sizes that leave some loop with no iterations."""
+
+
 def make_operator(code: str, **params) -> ReduceComputation:
-    """Build an operator by its paper abbreviation."""
+    """Build an operator by its paper abbreviation.
+
+    Raises :class:`OperatorParamError` for bad parameters (every builder
+    parameter is a size, stride, dilation or group count, so each must
+    be at least 1).
+    """
     try:
         builder = OPERATOR_BUILDERS[code]
     except KeyError:
         known = ", ".join(sorted(OPERATOR_BUILDERS))
         raise KeyError(f"unknown operator {code!r}; known: {known}") from None
-    return builder(**params)
+    accepted = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise OperatorParamError(
+            f"{code} has no parameter {', '.join(unknown)}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+    for name, value in params.items():
+        if value < 1:
+            raise OperatorParamError(f"{code} parameter {name} must be >= 1, got {value}")
+    try:
+        return builder(**params)
+    except ValueError as exc:
+        raise OperatorParamError(f"{code}: {exc}") from None
 
 
 def operator_feeds(

@@ -14,7 +14,6 @@ from repro.schedule.features import (
     OperandFeature,
     ScheduleBatch,
     derive_batch,
-    encode_schedules,
 )
 from repro.schedule.space import ScheduleSpace, default_schedule
 
@@ -29,7 +28,6 @@ __all__ = [
     "ScheduledMapping",
     "default_schedule",
     "derive_batch",
-    "encode_schedules",
     "lower_schedule",
     "macro_dims",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "OperandFeature",
     "ScheduleBatch",
     "BatchQuantities",
-    "encode_schedules",
     "derive_batch",
     "render_describes",
     "schedules_from_rows",
@@ -149,15 +148,10 @@ class ScheduleBatch:
     """A batch of schedules encoded against one mapping's spatial dims.
 
     Row ``i`` is one schedule; column ``d`` of the split arrays is the
-    mapping's ``spatial_names[d]``.  ``describes`` optionally carries
-    each schedule's canonical ``describe()`` string — the simulator's
-    jitter key hashes it, and two semantically equal schedules with
-    different ``splits`` dict contents describe (and therefore jitter)
-    differently, so when a batch is encoded *from objects* the strings
-    are part of the encoding.  A batch born as rows (the array-native
-    GA, engine row entry points) ships ``describes=None``: its rows
-    canonically mean "every split present", so the strings are a pure
-    function of the columns and are rendered lazily — only for the rows
+    mapping's ``spatial_names[d]``.  Rows canonically mean "every split
+    present", so a row's ``describe()`` string — the half of the
+    simulator's jitter key that depends on the schedule — is a pure
+    function of its columns and is rendered lazily, only for the rows
     that reach jitter encoding or trial records (see
     :func:`render_describes`).
     """
@@ -168,55 +162,9 @@ class ScheduleBatch:
     double_buffer: np.ndarray  # (n,) bool
     unroll: np.ndarray        # (n,) int64
     vectorize: np.ndarray     # (n,) int64
-    describes: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return self.reduce_stage.shape[0]
-
-
-def encode_schedules(
-    features: MappingFeatures,
-    schedules: Sequence[Schedule],
-    describes: Sequence[str] | None = None,
-) -> ScheduleBatch:
-    """Encode a batch of schedules as arrays over ``features``' dims.
-
-    ``describes`` lets a caller that already rendered each schedule's
-    ``describe()`` string (the engine does, for memo keys) pass them in
-    instead of rendering twice.
-    """
-    n = len(schedules)
-    d = len(features.spatial_names)
-    warp = np.ones((n, d), dtype=np.int64)
-    seq = np.ones((n, d), dtype=np.int64)
-    reduce_stage = np.empty(n, dtype=np.int64)
-    double_buffer = np.empty(n, dtype=bool)
-    unroll = np.empty(n, dtype=np.int64)
-    vectorize = np.empty(n, dtype=np.int64)
-    for i, sched in enumerate(schedules):
-        splits = sched.splits
-        for j, name in enumerate(features.spatial_names):
-            split = splits.get(name)
-            if split is not None:
-                warp[i, j] = split.warp
-                seq[i, j] = split.seq
-        reduce_stage[i] = sched.reduce_stage
-        double_buffer[i] = sched.double_buffer
-        unroll[i] = sched.unroll
-        vectorize[i] = sched.vectorize
-    if describes is None:
-        describes = tuple(sched.describe() for sched in schedules)
-    else:
-        describes = tuple(describes)
-    return ScheduleBatch(
-        warp=warp,
-        seq=seq,
-        reduce_stage=reduce_stage,
-        double_buffer=double_buffer,
-        unroll=unroll,
-        vectorize=vectorize,
-        describes=describes,
-    )
 
 
 def take_rows(
@@ -229,16 +177,12 @@ def take_rows(
     handoff of the array-native explore loop.  ``width`` trims padded
     joint-population columns down to one mapping's ``n_spatial`` (the GA
     packs mixed-mapping populations at the widest mapping's width, with
-    identity splits in the padding).  ``describes`` is sliced when
-    present and stays ``None`` when the batch is row-native.
+    identity splits in the padding).
     """
     rows = np.asarray(rows, dtype=np.int64)
     warp, seq = batch.warp, batch.seq
     if width is not None:
         warp, seq = warp[:, :width], seq[:, :width]
-    describes = batch.describes
-    if describes is not None:
-        describes = tuple(describes[int(i)] for i in rows)
     return ScheduleBatch(
         warp=np.ascontiguousarray(warp[rows]),
         seq=np.ascontiguousarray(seq[rows]),
@@ -246,7 +190,6 @@ def take_rows(
         double_buffer=np.ascontiguousarray(batch.double_buffer[rows]),
         unroll=np.ascontiguousarray(batch.unroll[rows]),
         vectorize=np.ascontiguousarray(batch.vectorize[rows]),
-        describes=describes,
     )
 
 
@@ -263,18 +206,11 @@ def render_describes(
 ) -> list[str]:
     """Render canonical ``describe()`` strings from batch rows.
 
-    Valid only for row-native batches, whose rows mean "every split
-    present": the rendered string then equals
+    Rows mean "every split present", so the rendered string equals
     ``schedules_from_rows(...)[i].describe()`` exactly.  ``indices``
     restricts rendering to the rows that need a string (memo-miss rows
-    headed for jitter encoding, trial records) — the lazy-describe
-    contract of the row path.
+    headed for jitter encoding, trial records).
     """
-    if batch.describes is not None:
-        source = batch.describes
-        if indices is None:
-            return list(source)
-        return [source[int(i)] for i in indices]
     order = _sorted_name_order(names)
     rows = range(len(batch)) if indices is None else indices
     out = []

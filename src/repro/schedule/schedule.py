@@ -77,10 +77,8 @@ class Schedule:
     def to_dict(self) -> dict:
         """Plain-JSON descriptor; the inverse of :meth:`from_dict`.
 
-        This is the wire format of the schedule: the engine's worker pool
-        ships candidates as descriptors (rebuilding ``Schedule`` objects
-        worker-side) and the persistent compile cache stores the winning
-        schedule in the same form.
+        The persistent compile cache stores the winning schedule in this
+        form.
         """
         return {
             "splits": {name: [s.warp, s.seq] for name, s in sorted(self.splits.items())},

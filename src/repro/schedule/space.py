@@ -19,12 +19,11 @@ Two drawing interfaces coexist:
 Every decision of the array interface consumes a **fixed number of
 uniforms** (``uniforms_per_sample`` for a sample, ``MUTATE_UNIFORMS``
 for a mutation) and maps a uniform ``u`` to an option index as
-``min(int(u * n_options), n_options - 1)``.  The scalar twins
+``min(int(u * n_options), n_options - 1)``.  The scalar references
 :meth:`sample_with_uniforms` / :meth:`mutate_with_uniforms` decode the
 same uniforms with plain Python arithmetic (independently of the numpy
-tables), so an object-path oracle walking the same uniform matrix
-row-by-row makes bit-identical decisions — the equivalence the
-array-native GA's bit-identity suite pins.
+tables); the property tests check the column ops against them row by
+row.  No exploration code calls them.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ MUTATE_UNIFORMS = 3
 
 
 def _pick(u: float, n_options: int) -> int:
-    """Map one uniform in [0, 1) to an option index (scalar twin)."""
+    """Map one uniform in [0, 1) to an option index (scalar reference)."""
     i = int(u * n_options)
     return n_options - 1 if i >= n_options else i
 
@@ -222,10 +221,11 @@ class ScheduleSpace:
         return warp, seq, reduce_stage, double_buffer, unroll, vectorize
 
     def sample_with_uniforms(self, u: Sequence[float]) -> Schedule:
-        """Scalar twin of :meth:`sample_columns` for one uniform row.
+        """Scalar reference for :meth:`sample_columns`, one uniform row.
 
         Decodes with plain Python arithmetic (no numpy tables) — the
-        independent oracle the bit-identity suite compares against.
+        independent reference the column-op property tests compare
+        against.
         """
         splits: dict[str, DimSplit] = {}
         budget = self.max_warps_per_block
@@ -304,7 +304,8 @@ class ScheduleSpace:
         return warp, seq, reduce_stage, double_buffer, unroll, vectorize
 
     def mutate_with_uniforms(self, schedule: Schedule, u: Sequence[float]) -> Schedule:
-        """Scalar twin of :meth:`mutate_columns` for one uniform row.
+        """Scalar reference for :meth:`mutate_columns`, one uniform row,
+        compared against the column ops by the property tests.
 
         The result is *canonical*: its splits carry every spatial dim
         (missing ones materialize as ``DimSplit(1, 1)``), matching what

@@ -157,10 +157,8 @@ def batch_simulate(
     if jitter:
         prefix = features.describe_prefix
         rows = np.nonzero(feasible)[0]
-        # Row-native batches (describes=None) render the describe half of
-        # the jitter key lazily here — only for the feasible rows that
-        # actually reach jitter encoding; object-encoded batches reuse the
-        # strings rendered for memo keys.
+        # The describe half of the jitter key is rendered lazily here —
+        # only for the feasible rows that actually reach jitter encoding.
         describes = render_describes(features.spatial_names, batch, rows)
         for i, text in zip(rows, describes):
             key = f"{prefix}|{text}|{hw.name}"

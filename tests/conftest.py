@@ -1,9 +1,14 @@
-"""Shared fixtures: small operator computations used across mapping tests."""
+"""Shared fixtures: small operator computations used across mapping
+tests, and a per-candidate driver of the row GA."""
 
+import numpy as np
 import pytest
 
+from repro.explore.genetic import Candidate, genetic_search_rows
 from repro.ir import Tensor, compute, reduce_axis, spatial_axis
 from repro.isa import get_intrinsic
+from repro.schedule.features import schedules_from_rows
+from repro.schedule.space import ScheduleSpace
 
 
 @pytest.fixture
@@ -97,3 +102,21 @@ def make_small_c3d(n=1, c=2, k=3, d=4, p=4, q=4, t=2, r=2, s=2):
             wgt[kk, cc, tt, rr, ss],
         ],
     )
+
+
+def ga_ranked(phys, fitness, config, **kwargs):
+    """``genetic_search_rows`` over default schedule spaces, scored one
+    candidate at a time by ``fitness(Candidate)``; returns the ranked
+    ``(candidate, cost)`` pairs."""
+    spaces = [ScheduleSpace(pm) for pm in phys]
+
+    def fitness_rows(mapping_indices, batch):
+        costs = []
+        for i, mi in enumerate(mapping_indices):
+            names = spaces[int(mi)].spatial_names
+            (schedule,) = schedules_from_rows(names, batch, [i])
+            costs.append(fitness(Candidate(int(mi), schedule)))
+        return np.asarray(costs)
+
+    result = genetic_search_rows(phys, fitness_rows, config, spaces=spaces, **kwargs)
+    return result.candidates(spaces)

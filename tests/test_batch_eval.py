@@ -6,8 +6,10 @@ The vectorized evaluators (``MappingFeatures`` + ``batch_predict`` /
 candidate — not approximately equal, equal.  These tests enforce that
 contract with ``==`` across every registered target (shared-memory and
 direct-register intrinsics), on infeasible zero-residency schedules,
-through the :class:`EvaluationEngine` front door, through a full tune
-run, and property-based over randomly constructed schedules.
+through the :class:`EvaluationEngine` front door, and property-based
+over randomly constructed schedules.  Schedules enter the batch world
+through the engine's one object→row encoder, ``encode_rows``; rows mean
+"every split present", so the oracle runs on that canonical schedule.
 """
 
 import functools
@@ -24,7 +26,6 @@ from repro.engine import (
     reset_compile_caches,
     reset_global_memo,
 )
-from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.isa.registry import intrinsics_for_target
 from repro.mapping.generation import GenerationOptions, enumerate_mappings
@@ -32,7 +33,7 @@ from repro.mapping.physical import lower_to_physical
 from repro.model.batch_model import batch_predict
 from repro.model.hardware_params import get_hardware
 from repro.model.perf_model import predict_latency
-from repro.schedule.features import MappingFeatures, derive_batch, encode_schedules
+from repro.schedule.features import MappingFeatures, derive_batch, schedules_from_rows
 from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import DimSplit, Schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
@@ -81,6 +82,12 @@ def _random_schedules(pm, hw, rng, count):
     return [default_schedule(pm)] + [space.sample(rng) for _ in range(count)]
 
 
+def _encode(comp, pm, hw, schedules):
+    """Rows of ``schedules`` on one mapping, via the engine's encoder."""
+    engine = EvaluationEngine(comp, [pm], hw, memo=MemoCache())
+    return engine.encode_rows([(0, s) for s in schedules])[1]
+
+
 def _assert_rows_match(pm, schedules, feats, batch, bp, bt, hw, jitter=True):
     """Exact-equality comparison of every batch row against the scalar
     oracle (``inf == inf`` holds, so infeasible rows compare too)."""
@@ -114,7 +121,7 @@ class TestBatchScalarEquivalence:
         for pm in _mappings_for(hw, comp):
             schedules = _random_schedules(pm, hw, rng, count=25)
             feats = MappingFeatures.from_physical(pm)
-            batch = encode_schedules(feats, schedules)
+            batch = _encode(comp, pm, hw, schedules)
             q = derive_batch(feats, batch)
             bp = batch_predict(feats, batch, hw, quantities=q)
             bt = batch_simulate(feats, batch, hw, quantities=q)
@@ -126,7 +133,7 @@ class TestBatchScalarEquivalence:
         pm = _mappings_for(hw, comp, limit=1)[0]
         schedules = _random_schedules(pm, hw, random.Random(7), count=10)
         feats = MappingFeatures.from_physical(pm)
-        batch = encode_schedules(feats, schedules)
+        batch = _encode(comp, pm, hw, schedules)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw, jitter=False)
         _assert_rows_match(pm, schedules, feats, batch, bp, bt, hw, jitter=False)
@@ -142,7 +149,7 @@ class TestBatchScalarEquivalence:
         schedules = _random_schedules(pm, hw, random.Random(3), count=12)
         feats = MappingFeatures.from_physical(pm)
         assert feats.uses_shared
-        batch = encode_schedules(feats, schedules)
+        batch = _encode(comp, pm, hw, schedules)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw)
         assert np.isinf(bt.total_us).all()
@@ -153,21 +160,26 @@ class TestBatchScalarEquivalence:
 
     def test_describe_strings_drive_jitter(self):
         """Two schedules that lower identically but describe differently
-        (an explicit unit split) must jitter differently — the batch
-        encoding carries the describe string for exactly this reason."""
+        (a bare schedule, an explicit unit split) encode to one canonical
+        row.  Its jitter is keyed by the canonical every-split-present
+        describe string, which the scalar oracle on the decoded schedule
+        reproduces bit for bit — and which differs from the bare
+        schedule's own describe string, and so jitters differently."""
         hw = get_hardware("v100")
         comp = make_operator("GMM", m=64, n=64, k=64)
         pm = _mappings_for(hw, comp, limit=1)[0]
         feats = MappingFeatures.from_physical(pm)
         bare = Schedule()
         explicit = Schedule(splits={feats.spatial_names[0]: DimSplit(1, 1)})
-        schedules = [bare, explicit]
-        batch = encode_schedules(feats, schedules)
+        batch = _encode(comp, pm, hw, [bare, explicit])
         assert np.array_equal(batch.warp[0], batch.warp[1])
+        canonical = schedules_from_rows(feats.spatial_names, batch)
+        assert canonical[0].describe() == canonical[1].describe() != bare.describe()
         bt = batch_simulate(feats, batch, hw)
         _assert_rows_match(
-            pm, schedules, feats, batch, batch_predict(feats, batch, hw), bt, hw
+            pm, canonical, feats, batch, batch_predict(feats, batch, hw), bt, hw
         )
+        assert simulate_cycles(lower_schedule(pm, bare), hw).jitter != bt.jitter[0]
 
 
 class TestEngineVectorized:
@@ -182,75 +194,42 @@ class TestEngineVectorized:
         rng.shuffle(items)
         return hw, comp, physical, items
 
+    @staticmethod
+    def _oracle(physical, hw, items):
+        """The scalar model and simulator on each lowered schedule."""
+        out = []
+        for mi, schedule in items:
+            sched = lower_schedule(physical[mi], schedule)
+            out.append(
+                (predict_latency(sched, hw).total_us, simulate_cycles(sched, hw).total_us)
+            )
+        return out
+
     def test_vectorized_engine_matches_scalar_engine(self):
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=True
-        ) as fast:
-            vec = fast.measure_many(items)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=False
-        ) as slow:
-            scalar = slow.measure_many(items)
-        assert vec == scalar
+            comp, physical, hw, n_workers=1, memo=MemoCache()
+        ) as engine:
+            assert engine.measure_many(items) == self._oracle(physical, hw, items)
 
     def test_vectorized_predictions_match(self):
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=True
-        ) as fast:
-            vec = fast.predict_many(items)
-        with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=False
-        ) as slow:
-            scalar = slow.predict_many(items)
-        assert vec == scalar
+            comp, physical, hw, n_workers=1, memo=MemoCache()
+        ) as engine:
+            predicted = engine.predict_many(items)
+        assert predicted == [p for p, _ in self._oracle(physical, hw, items)]
 
     def test_results_are_plain_floats(self):
         """Memoized values must stay JSON-serialisable Python floats, not
         numpy scalars, for the persistent compile cache."""
         hw, comp, physical, items = self._context()
         with EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=True
+            comp, physical, hw, n_workers=1, memo=MemoCache()
         ) as engine:
             for predicted, measured in engine.measure_many(items[:8]):
                 assert type(predicted) is float
                 assert type(measured) is float
-
-
-class TestTunerVectorized:
-    def test_vectorized_flag_never_changes_the_answer(self):
-        comp = make_operator("GMM", m=64, n=64, k=64)
-        config = dict(
-            population=8,
-            generations=2,
-            measure_top=8,
-            refine_rounds=1,
-            refine_neighbors=4,
-            n_workers=1,
-        )
-
-        def fingerprint(result):
-            return [
-                (
-                    t.mapping_index,
-                    t.predicted_us,
-                    t.measured_us,
-                    t.scheduled.schedule.describe(),
-                )
-                for t in result.trials
-            ]
-
-        reset_global_memo()
-        fast = Tuner(
-            get_hardware("v100"), TunerConfig(vectorized=True, **config)
-        ).tune(comp)
-        reset_global_memo()
-        slow = Tuner(
-            get_hardware("v100"), TunerConfig(vectorized=False, **config)
-        ).tune(comp)
-        assert fast.best_us == slow.best_us
-        assert fingerprint(fast) == fingerprint(slow)
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,17 +237,19 @@ def _property_context():
     hw = get_hardware("v100")
     comp = make_operator("GMM", m=64, n=64, k=64)
     pm = _mappings_for(hw, comp, limit=1)[0]
-    return hw, pm, MappingFeatures.from_physical(pm)
+    return hw, comp, pm, MappingFeatures.from_physical(pm)
 
 
 class TestPropertyBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_schedule_is_bit_identical(self, data):
-        """Hypothesis-constructed schedules — including degenerate unit
-        splits, oversized factors, vectorize widths off the sampled grid
-        — produce bit-identical total_us / predicted values."""
-        hw, pm, feats = _property_context()
+        """Hypothesis-constructed schedules — including missing and
+        degenerate unit splits, oversized factors, vectorize widths off
+        the sampled grid — produce bit-identical total_us / predicted
+        values.  The model has no jitter, so it matches on the schedule
+        as drawn; the simulator matches on its canonical row."""
+        hw, comp, pm, feats = _property_context()
         splits = {}
         for name in feats.spatial_names:
             if data.draw(st.booleans(), label=f"split:{name}"):
@@ -283,10 +264,10 @@ class TestPropertyBitIdentical:
             unroll=data.draw(st.sampled_from([1, 2, 4]), label="unroll"),
             vectorize=data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]), label="vec"),
         )
-        batch = encode_schedules(feats, [schedule])
-        sm = lower_schedule(pm, schedule)
-        predicted = predict_latency(sm, hw)
-        timing = simulate_cycles(sm, hw)
+        batch = _encode(comp, pm, hw, [schedule])
+        (canonical,) = schedules_from_rows(feats.spatial_names, batch)
+        predicted = predict_latency(lower_schedule(pm, schedule), hw)
+        timing = simulate_cycles(lower_schedule(pm, canonical), hw)
         bp = batch_predict(feats, batch, hw)
         bt = batch_simulate(feats, batch, hw)
         assert bp.total_us[0] == predicted.total_us

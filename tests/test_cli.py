@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.frontends.operators import OperatorParamError, make_operator
 
 
 class TestParsing:
@@ -37,6 +38,37 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "expected k=v" in err
         assert "repro compile" in err  # usage names the failing subcommand
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_size_below_one_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "GMM", "--params", f"m={value}", "n=4", "k=4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"GMM parameter m must be >= 1, got {value}" in err
+        assert "repro compile" in err
+
+    def test_unknown_param_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "GMM", "--params", "bogus=3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "GMM has no parameter bogus; accepted: m, n, k" in err
+        assert "repro compile" in err
+
+    def test_empty_loop_rejected(self, capsys):
+        """Sizes that are each >= 1 but leave a loop with no iterations
+        (a 5-wide filter on a 3-wide input) are usage errors too."""
+        with pytest.raises(SystemExit) as exc:
+            main(["mappings", "C1D", "--params", "length=3", "r=5"])
+        assert exc.value.code == 2
+        assert "C1D: " in capsys.readouterr().err
+
+    def test_make_operator_raises_typed_error(self):
+        with pytest.raises(OperatorParamError, match="no parameter bogus"):
+            make_operator("GMM", bogus=3)
+        with pytest.raises(OperatorParamError, match="must be >= 1"):
+            make_operator("GMM", m=0)
 
 
 class TestTuningFlagBounds:

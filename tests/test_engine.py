@@ -25,16 +25,19 @@ from repro.engine import (
     resolve_workers,
     tuner_config_fingerprint,
 )
-from repro.explore.genetic import GeneticConfig, genetic_search
+from repro.explore.genetic import GeneticConfig, genetic_search_rows
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.mapping.generation import enumerate_mappings
 from repro.mapping.physical import lower_to_physical
-from repro.model import get_hardware
+from repro.model import get_hardware, predict_latency
 from repro.obs.explore_log import ExploreLog, use_log
+from repro.schedule.lowering import lower_schedule
 from repro.schedule.schedule import Schedule
 from repro.schedule.space import ScheduleSpace, default_schedule
 import repro.obs as obs
+
+from conftest import ga_ranked
 
 
 FAST = TunerConfig(
@@ -177,6 +180,10 @@ class TestDefaultNeverPools:
         assert len(engine.measure_many(items)) == len(items)
 
 
+def _memo_key(engine, mapping_index, schedule):
+    return engine.row_keys(*engine.encode_rows([(mapping_index, schedule)]))[0]
+
+
 class TestEvaluationEngine:
     def test_memo_and_in_batch_duplicates(self):
         comp, physical = small_physical()
@@ -188,7 +195,7 @@ class TestEvaluationEngine:
         first = engine.predict_many(batch)
         assert first[0] == first[1]
         assert engine.predict_many(batch) == first  # served from memo
-        assert engine.memo.get_prediction(engine.key_of(0, sched)) == first[0]
+        assert engine.memo.get_prediction(_memo_key(engine, 0, sched)) == first[0]
 
     def test_measurements_cached_separately(self):
         comp, physical = small_physical()
@@ -197,7 +204,7 @@ class TestEvaluationEngine:
         )
         sched = default_schedule(physical[0])
         engine.predict_many([(0, sched)])
-        key = engine.key_of(0, sched)
+        key = _memo_key(engine, 0, sched)
         assert engine.memo.get_measurement(key) is None
         [(predicted, measured)] = engine.measure_many([(0, sched)])
         assert engine.memo.get_measurement(key) == measured
@@ -234,31 +241,31 @@ class TestScheduleDict:
 
 class TestGeneticBatchEquivalence:
     def test_fitness_many_matches_fitness(self):
+        """Scoring whole generations in one engine call ranks exactly
+        like scoring one candidate at a time with the scalar model."""
         comp, physical = small_physical()
         hw = get_hardware("v100")
         engine = EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
-
-        def fitness(c):
-            return engine.predict_many([(c.mapping_index, c.schedule)])[0]
-
+        spaces = [ScheduleSpace(pm) for pm in physical]
         calls = []
 
-        def fitness_many(cs):
-            calls.append(len(cs))
-            return engine.predict_many([(c.mapping_index, c.schedule) for c in cs])
+        def batched(mapping_indices, batch):
+            calls.append(len(batch))
+            return engine.predict_rows(mapping_indices, batch)
+
+        def scalar(c):
+            sched = lower_schedule(physical[c.mapping_index], c.schedule)
+            return predict_latency(sched, hw).total_us
 
         ga = GeneticConfig(population=12, generations=4, seed=7)
-        serial = genetic_search(physical, fitness=fitness, config=ga)
-        batch = genetic_search(physical, config=ga, fitness_many=fitness_many)
+        serial = ga_ranked(physical, scalar, ga)
+        batch = genetic_search_rows(physical, batched, ga, spaces=spaces).candidates(
+            spaces
+        )
         assert [(c.mapping_index, c.schedule.describe(), cost) for c, cost in serial] \
             == [(c.mapping_index, c.schedule.describe(), cost) for c, cost in batch]
         # whole generations scored in one call, not one call per candidate
         assert max(calls) > 1
-
-    def test_requires_an_evaluator(self):
-        _, physical = small_physical()
-        with pytest.raises(ValueError):
-            genetic_search(physical)
 
 
 class TestTunerDeterminism:

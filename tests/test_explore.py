@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.explore.genetic import Candidate, GeneticConfig, genetic_search
+from repro.engine import EvaluationEngine, MemoCache
+from repro.explore.genetic import Candidate, GeneticConfig, genetic_search_rows
 from repro.explore.metrics import pairwise_accuracy, top_k_recall
 from repro.explore.random_search import random_search
 from repro.explore.tuner import Tuner, TunerConfig
@@ -14,7 +16,7 @@ from repro.mapping.physical import lower_to_physical
 from repro.model import get_hardware, predict_latency
 from repro.schedule.lowering import lower_schedule
 
-from conftest import make_small_conv2d, make_small_gemm, make_small_gemv
+from conftest import ga_ranked, make_small_conv2d, make_small_gemm, make_small_gemv
 
 
 class TestMetrics:
@@ -78,8 +80,8 @@ class TestGenetic:
             return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
 
         cfg = GeneticConfig(population=8, generations=3, seed=5)
-        a = genetic_search(phys, fitness, cfg)
-        b = genetic_search(phys, fitness, cfg)
+        a = ga_ranked(phys, fitness, cfg)
+        b = ga_ranked(phys, fitness, cfg)
         assert [cost for _, cost in a] == [cost for _, cost in b]
 
     def test_results_sorted(self, tensorcore):
@@ -89,13 +91,13 @@ class TestGenetic:
         def fitness(c):
             return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
 
-        results = genetic_search(phys, fitness, GeneticConfig(population=6, generations=2))
+        results = ga_ranked(phys, fitness, GeneticConfig(population=6, generations=2))
         costs = [cost for _, cost in results]
         assert costs == sorted(costs)
 
     def test_empty_mappings_rejected(self):
         with pytest.raises(ValueError):
-            genetic_search([], lambda c: 0.0)
+            genetic_search_rows([], lambda mi, batch: np.zeros(len(batch)))
 
     def test_ga_at_least_as_good_as_random(self, tensorcore):
         phys = _physical_mappings(make_small_conv2d(4, 16, 16, 7, 7), tensorcore)
@@ -104,7 +106,7 @@ class TestGenetic:
         def fitness(c):
             return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
 
-        ga_best = genetic_search(
+        ga_best = ga_ranked(
             phys, fitness, GeneticConfig(population=16, generations=6, seed=0)
         )[0][1]
         rnd_best = random_search(phys, fitness, trials=32, seed=0)[0][1]
@@ -145,7 +147,8 @@ class TestTuner:
             TunerConfig(population=8, generations=2, prefilter_mappings=4),
         )
         phys = tuner.candidate_mappings(comp)
-        assert len(tuner._prefilter(phys)) == 4
+        engine = EvaluationEngine(comp, phys, tuner.hardware, memo=MemoCache())
+        assert len(tuner._prefilter_indices(engine, phys)) == 4
 
     def test_trials_record_predictions(self, tensorcore):
         tuner = Tuner(get_hardware("v100"), TunerConfig(population=8, generations=3))
@@ -174,9 +177,9 @@ class TestTuner:
             return predict_latency(lower_schedule(phys[c.mapping_index], c.schedule), hw).total_us
 
         cfg = GeneticConfig(population=8, generations=3, seed=7)
-        plain = genetic_search(phys, fitness, cfg)
+        plain = ga_ranked(phys, fitness, cfg)
         observed = []
-        with_cb = genetic_search(
+        with_cb = ga_ranked(
             phys, fitness, cfg,
             on_generation=lambda gen, fits, uniq: observed.append((gen, len(fits), uniq)),
         )

@@ -17,6 +17,7 @@ known tasks and the same tasks on every run.
 import dataclasses
 import json
 import os
+import random
 import threading
 
 import pytest
@@ -31,11 +32,12 @@ from repro.engine import (
     reset_compile_caches,
     reset_global_memo,
 )
-from repro.engine.pool import WorkerPool, _eval_item_with
+from repro.engine.pool import WorkerPool, evaluate_chunk
 from repro.explore.tuner import Tuner, TunerConfig
 from repro.frontends.operators import make_operator
 from repro.model import get_hardware
 from repro.obs.runlog import load_runs
+from repro.schedule.features import MappingFeatures
 from repro.schedule.space import ScheduleSpace
 
 
@@ -67,15 +69,19 @@ def tune_fingerprint(result):
     ]
 
 
-def scalar_items(physical, n=8, measure=True):
-    """Picklable scalar task descriptors spread across the mappings."""
-    import random
-
+def group_items(comp, physical, hw, n=8, per_group=2, measure=True):
+    """Pool work items: ``n`` group chunks (one mapping's schedule rows
+    each) spread across the mappings."""
     rng = random.Random(0)
+    encoder = EvaluationEngine(comp, physical, hw, memo=MemoCache())
     items = []
     for i in range(n):
         mi = i % len(physical)
-        items.append((mi, ScheduleSpace(physical[mi]).sample(rng).to_dict(), measure))
+        space = ScheduleSpace(physical[mi])
+        _, batch = encoder.encode_rows(
+            [(mi, space.sample(rng)) for _ in range(per_group)]
+        )
+        items.append((mi, batch, measure))
     return items
 
 
@@ -104,8 +110,11 @@ class TestWorkerPoolFaults:
     def oracle(self):
         comp, physical = small_physical()
         hw = get_hardware("v100")
-        items = scalar_items(physical)
-        expected = [_eval_item_with(physical, hw, item) for item in items]
+        items = group_items(comp, physical, hw)
+        expected = [
+            evaluate_chunk(MappingFeatures.from_physical(physical[mi]), hw, batch, m)
+            for mi, batch, m in items
+        ]
         return physical, hw, items, expected
 
     def run_pool(self, oracle, plan, policy=None):
@@ -113,7 +122,7 @@ class TestWorkerPoolFaults:
         with WorkerPool(
             physical, hw, n_workers=2, policy=policy, fault_plan=plan
         ) as pool:
-            results = pool.evaluate(items)
+            results = pool.evaluate_groups(items)
             stats = dict(pool.fault_stats)
             degraded = pool.degraded
         assert results == expected
@@ -157,10 +166,10 @@ class TestWorkerPoolFaults:
         plan = FaultPlan(hang_on=(warm,), hang_s=120.0)
         with WorkerPool(physical, hw, n_workers=2, fault_plan=plan) as pool:
             # Warm batch: tasks 0..warm-1, no deadline while workers boot.
-            assert pool.evaluate(items) == expected
+            assert pool.evaluate_groups(items) == expected
             # Hang batch under a deadline the 120s sleep must blow.
             pool.policy = FaultPolicy(eval_timeout_s=3.0, backoff_s=0.0)
-            assert pool.evaluate(items) == expected
+            assert pool.evaluate_groups(items) == expected
             assert pool.fault_stats["timeouts"] == 1
             assert pool.fault_stats["respawns"] == 1
             assert not pool.degraded
@@ -189,25 +198,25 @@ class TestWorkerPoolFaults:
 
 
 class TestEngineFaults:
-    """Fault recovery through the EvaluationEngine front door, vectorized
-    and scalar, against the n_workers=1 inline engine."""
+    """Fault recovery through the EvaluationEngine front door, measured
+    and predict-only, against the n_workers=1 inline engine."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_faulted_engine_matches_inline(self, vectorized):
+    @pytest.mark.parametrize("measure", [True, False])
+    def test_faulted_engine_matches_inline(self, measure):
         comp, physical = small_physical()
         hw = get_hardware("v100")
-        import random
-
         rng = random.Random(1)
         items = []
         for i, pm in enumerate(physical):
             space = ScheduleSpace(pm)
             items.extend((i, space.sample(rng)) for _ in range(3))
 
-        inline = EvaluationEngine(
-            comp, physical, hw, n_workers=1, memo=MemoCache(), vectorized=vectorized
+        def evaluate(engine):
+            return engine.measure_many(items) if measure else engine.predict_many(items)
+
+        expected = evaluate(
+            EvaluationEngine(comp, physical, hw, n_workers=1, memo=MemoCache())
         )
-        expected = inline.measure_many(items)
 
         plan = FaultPlan(raise_on=(0,))
         with EvaluationEngine(
@@ -217,10 +226,9 @@ class TestEngineFaults:
             n_workers=2,
             memo=MemoCache(),
             min_pool_batch=1,
-            vectorized=vectorized,
             fault_plan=plan,
         ) as faulted:
-            assert faulted.measure_many(items) == expected
+            assert evaluate(faulted) == expected
         assert faulted.fault_stats["task_errors"] == 1
         assert faulted.fault_stats["retries"] == 1
 
